@@ -1,5 +1,5 @@
-// Benchmarks: one per reproduction experiment (E1-E9, see DESIGN.md
-// section 6 and EXPERIMENTS.md), each regenerating its table at the
+// Benchmarks: one per reproduction experiment (E1-E9, defined in
+// internal/bench), each regenerating its table at the
 // quick scale, plus micro-benchmarks of the simulator and the
 // sequential ground truth. Run the full-scale tables with
 // `go run ./cmd/mstbench -full`.

@@ -1,6 +1,8 @@
-// Command mstbench regenerates the reproduction experiments of
-// DESIGN.md (E1-E8), printing one table per experiment. The output of
-// `mstbench -full` is what EXPERIMENTS.md records.
+// Command mstbench regenerates the reproduction experiments E1-E15,
+// printing one table per experiment. The README's experiment sections
+// ("E11: engine scaling" through "E14: fiber mode everywhere") describe
+// the engine races and record their tables; `mstbench -full` runs the
+// full-size sweeps those sections quote.
 //
 // Usage:
 //
@@ -23,7 +25,7 @@ import (
 )
 
 func main() {
-	full := flag.Bool("full", false, "run the full-size experiments recorded in EXPERIMENTS.md")
+	full := flag.Bool("full", false, "run the full-size experiments quoted in the README experiment sections")
 	only := flag.String("e", "", "comma-separated experiment ids (default: all)")
 	engine := flag.String("engine", "lockstep", "execution engine for the experiments: "+strings.Join(congestmst.EngineNames(), " | ")+" (e11-e15 always measure their own pairs)")
 	workers := flag.String("workers", "", "comma-separated fiber worker counts for the e14 sweep (default 1,2,4,8)")

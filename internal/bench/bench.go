@@ -1,6 +1,6 @@
 // Package bench defines the reproduction experiments (E1-E15): one per
 // claim of the paper plus the engine races, each regenerating a table
-// that EXPERIMENTS.md records. The same definitions back cmd/mstbench
+// (the README's experiment sections record the engine races). The same definitions back cmd/mstbench
 // and the root-level testing.B benchmarks.
 //
 // The paper is a theory paper with no empirical tables, so the "tables"
@@ -103,8 +103,8 @@ func (t *Table) Format() string {
 type Experiment struct {
 	ID    string
 	Title string
-	// Run executes the experiment; full selects the EXPERIMENTS.md
-	// scale (false = the quicker scale used by `go test -bench`).
+	// Run executes the experiment; full selects the full-size scale
+	// (false = the quicker scale used by `go test -bench`).
 	Run func(full bool) (*Table, error)
 }
 

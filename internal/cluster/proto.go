@@ -32,7 +32,7 @@ const (
 	// maxFramePayload bounds one control frame (64 MiB of edges is a
 	// ~4M-edge job; larger graphs should not go through Dispatch's
 	// single-frame shipping anyway).
-	maxFramePayload = 1 << 30
+	maxFramePayload = 64 << 20
 
 	edgeWireSize = 4 + 4 + 8
 )
@@ -164,6 +164,45 @@ func encodeJob(h jobHeader, g *graph.Graph) ([]byte, error) {
 	return buf, nil
 }
 
+// JobError reports a job frame whose header declares sizes the frame
+// cannot hold: a negative count, more vertices than a frame has bytes,
+// or an edge count that disagrees with the edge bytes actually sent. The worker rejects such a job before allocating
+// anything for it.
+type JobError struct {
+	N, M      int // the header's vertex and edge counts
+	EdgeBytes int // edge bytes the frame carries
+	Reason    string
+}
+
+func (e *JobError) Error() string {
+	return fmt.Sprintf("cluster: bad job frame (n=%d m=%d, %d edge bytes): %s", e.N, e.M, e.EdgeBytes, e.Reason)
+}
+
+// maxJobVertices is the largest vertex count a job can declare. It
+// equals the frame cap, so what a worker allocates per vertex stays
+// proportional to the bytes it was sent.
+const maxJobVertices = maxFramePayload
+
+// checkJobSize validates a job header's counts against the edge bytes
+// that follow it. The edge count is compared by division, so no
+// product can overflow.
+func checkJobSize(h jobHeader, edgeBytes int) error {
+	reason := ""
+	switch {
+	case h.N < 0:
+		reason = "negative vertex count"
+	case h.N > maxJobVertices:
+		reason = fmt.Sprintf("more than %d vertices", maxJobVertices)
+	case h.M < 0:
+		reason = "negative edge count"
+	case h.M > edgeBytes/edgeWireSize || edgeBytes != h.M*edgeWireSize:
+		reason = fmt.Sprintf("edge count needs %d-byte edges to fill the frame exactly", edgeWireSize)
+	default:
+		return nil
+	}
+	return &JobError{N: h.N, M: h.M, EdgeBytes: edgeBytes, Reason: reason}
+}
+
 // decodeJob parses a job frame payload back into its header and graph.
 func decodeJob(payload []byte) (jobHeader, *graph.Graph, error) {
 	var h jobHeader
@@ -179,8 +218,8 @@ func decodeJob(payload []byte) (jobHeader, *graph.Graph, error) {
 		return h, nil, fmt.Errorf("cluster: job header: %w", err)
 	}
 	blob := rest[jsonLen:]
-	if len(blob) != h.M*edgeWireSize {
-		return h, nil, fmt.Errorf("cluster: job carries %d edge bytes, want %d", len(blob), h.M*edgeWireSize)
+	if err := checkJobSize(h, len(blob)); err != nil {
+		return h, nil, err
 	}
 	edges := make([]graph.Edge, h.M)
 	for i := range edges {

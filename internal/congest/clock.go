@@ -1,9 +1,6 @@
 package congest
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Clock is the logical clock every engine in this repository advances,
 // split out of the engines so the round counter and the park calendar
@@ -29,7 +26,7 @@ import (
 type Clock struct {
 	now    int64
 	max    int64
-	timers timerHeap
+	timers Calendar
 }
 
 // NewClock returns a clock at time 0 that refuses to advance past
@@ -44,7 +41,7 @@ func (c *Clock) Now() int64 { return c.now }
 // Entries are invalidated, not removed: a stale entry (the vertex
 // woke early and re-parked, bumping its Gen) is dropped when it
 // surfaces.
-func (c *Clock) Schedule(t TimerEntry) { heap.Push(&c.timers, t) }
+func (c *Clock) Schedule(t TimerEntry) { c.timers.Push(t) }
 
 // Advance moves the clock to the next moment with work: now+1 when
 // due (some vertex owes an immediate wake — fresh deliveries or an
@@ -62,9 +59,9 @@ func (c *Clock) Advance(due bool, live func(TimerEntry) bool) error {
 		return nil
 	}
 	for c.timers.Len() > 0 {
-		top := c.timers.items[0]
+		top := c.timers.Min()
 		if !live(top) {
-			heap.Pop(&c.timers) // stale
+			c.timers.Pop() // stale
 			continue
 		}
 		if top.Round > c.max {
@@ -81,9 +78,8 @@ func (c *Clock) Advance(due bool, live func(TimerEntry) bool) error {
 // queued (so duplicate entries for the same vertex die at their live
 // check) and appends it to a wake set.
 func (c *Clock) PopDue(live func(TimerEntry) bool, release func(TimerEntry)) {
-	for c.timers.Len() > 0 && c.timers.items[0].Round <= c.now {
-		entry := heap.Pop(&c.timers).(TimerEntry)
-		if live(entry) {
+	for c.timers.Len() > 0 && c.timers.Min().Round <= c.now {
+		if entry := c.timers.Pop(); live(entry) {
 			release(entry)
 		}
 	}
@@ -98,18 +94,57 @@ type TimerEntry struct {
 	Gen   int64
 }
 
-type timerHeap struct {
+// Calendar is a binary min-heap of TimerEntry ordered by Round: the
+// park calendar behind Clock and the cluster engine's per-shard
+// deadlines. It is written out over the concrete slice rather than
+// through container/heap, whose any-typed Push/Pop box every entry.
+// Entries with equal Round pop in an unspecified order; every engine
+// sorts the wake set it builds from them, so the order never reaches a
+// schedule. The zero Calendar is empty and ready to use.
+type Calendar struct {
 	items []TimerEntry
 }
 
-func (h *timerHeap) Len() int           { return len(h.items) }
-func (h *timerHeap) Less(i, j int) bool { return h.items[i].Round < h.items[j].Round }
-func (h *timerHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *timerHeap) Push(x any)         { h.items = append(h.items, x.(TimerEntry)) }
-func (h *timerHeap) Pop() any {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
-	return it
+// Len returns the number of entries, stale ones included.
+func (h *Calendar) Len() int { return len(h.items) }
+
+// Min returns the entry with the earliest Round. The calendar must not
+// be empty.
+func (h *Calendar) Min() TimerEntry { return h.items[0] }
+
+// Push files one entry.
+func (h *Calendar) Push(t TimerEntry) {
+	h.items = append(h.items, t)
+	i := len(h.items) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if h.items[parent].Round <= h.items[i].Round {
+			break
+		}
+		h.items[parent], h.items[i] = h.items[i], h.items[parent]
+		i = parent
+	}
+}
+
+// Pop removes and returns the entry with the earliest Round. The
+// calendar must not be empty.
+func (h *Calendar) Pop() TimerEntry {
+	top := h.items[0]
+	last := len(h.items) - 1
+	h.items[0] = h.items[last]
+	h.items = h.items[:last]
+	for i := 0; ; {
+		least := i
+		if l := 2*i + 1; l < last && h.items[l].Round < h.items[least].Round {
+			least = l
+		}
+		if r := 2*i + 2; r < last && h.items[r].Round < h.items[least].Round {
+			least = r
+		}
+		if least == i {
+			return top
+		}
+		h.items[i], h.items[least] = h.items[least], h.items[i]
+		i = least
+	}
 }

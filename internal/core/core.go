@@ -157,6 +157,7 @@ func Program(c congest.Context, cfg Config,
 				nbrCoarse: make([]int64, c.Degree()),
 				mstPorts:  make(map[int]bool),
 			}
+			r.Init(st.ParentPort, st.ChildPorts)
 			if st.ParentPort >= 0 {
 				r.mstPorts[st.ParentPort] = true
 			}
@@ -204,8 +205,11 @@ func chooseK(n, height, b int64, fixed int) int {
 // boruvka is the per-vertex state of the Boruvka-over-τ stage. It is
 // plain data shared by every stage continuation; the live Context is
 // always a parameter, never a field (fiber engines re-point a shared
-// per-shard Context between wakes).
+// per-shard Context between wakes). The embedded Frame runs the
+// fragment primitives on the vertex's base-fragment tree.
 type boruvka struct {
+	fragops.Frame
+
 	tau *bfstree.Tree
 	st  *forest.State
 	cfg Config
@@ -231,8 +235,7 @@ type boruvka struct {
 func (r *boruvka) register(c congest.Context, k int, then func(c congest.Context) congest.Step) congest.Step {
 	// 12k+4 bounds the base fragment height: Controlled-GHS guarantees
 	// strong diameter at most 6·2^ceil(log k) <= 12k (Theorem 4.3).
-	return fragops.ConvergeStep(c, r.st.ParentPort, r.st.ChildPorts,
-		c.Round()+int64(12*k+6), true, [3]int64{1, 0, 0}, sizeHeight,
+	return r.Converge(c, c.Round()+int64(12*k+6), true, [3]int64{1, 0, 0}, sizeHeight,
 		func(c congest.Context, meas [3]int64, isFragRoot bool) congest.Step {
 			var items []bfstree.Item
 			if isFragRoot {
@@ -309,7 +312,7 @@ func (r *boruvka) phase(c congest.Context,
 		c.Send(p, congest.Message{Kind: KindNbrCoarse, A: r.coarse})
 	}
 	got := 0
-	return fragops.WindowStep(c, c.Round()+2, func(c congest.Context, in congest.Inbound) {
+	return congest.Window(c.Round()+2, func(c congest.Context, in congest.Inbound) {
 		if in.Msg.Kind != KindNbrCoarse {
 			panic(fmt.Sprintf("core: vertex %d: kind %d during neighbor update", c.ID(), in.Msg.Kind))
 		}
@@ -322,8 +325,7 @@ func (r *boruvka) phase(c congest.Context,
 
 		// (2) Each base fragment finds its lightest edge leaving the
 		// coarse fragment: O(k) rounds, O(n) messages.
-		return fragops.ArgminStep(c, r.st.ParentPort, r.st.ChildPorts,
-			c.Round()+r.fragWin, true, r.localCandidate(c), &r.winner,
+		return r.Argmin(c, c.Round()+r.fragWin, true, r.localCandidate(c), &r.winner,
 			func(c congest.Context, best [3]int64, isFragRoot bool) congest.Step {
 				// (3) Pipelined min-filtering upcast over τ: the root
 				// learns the MWOE of every coarse fragment.
@@ -365,8 +367,7 @@ func (r *boruvka) phase(c congest.Context,
 
 								// (6) Broadcast the new identity (and the
 								// chosen MWOE) through each base fragment.
-								return fragops.BroadcastStep(c, r.st.ParentPort, r.st.ChildPorts,
-									c.Round()+r.fragWin, true, payload,
+								return r.Broadcast(c, c.Round()+r.fragWin, true, payload,
 									func(c congest.Context, pay [3]int64, _ bool) congest.Step {
 										oldCoarse := r.coarse
 										r.coarse = pay[0]
@@ -389,7 +390,7 @@ func (r *boruvka) phase(c congest.Context,
 												}
 											}
 										}
-										return fragops.WindowStep(c, c.Round()+2, func(c congest.Context, in congest.Inbound) {
+										return congest.Window(c.Round()+2, func(c congest.Context, in congest.Inbound) {
 											if in.Msg.Kind != KindMSTMark {
 												panic(fmt.Sprintf("core: vertex %d: kind %d during MST marking", c.ID(), in.Msg.Kind))
 											}

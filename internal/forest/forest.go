@@ -150,22 +150,8 @@ func Run(ctx congest.Context, k int, trace *Trace) *State {
 func Program(c congest.Context, k int, trace *Trace,
 	then func(c congest.Context, st *State) congest.Step) congest.Step {
 	r := newRunner(c, k, trace)
-	var loop func(c congest.Context, i int) congest.Step
-	loop = func(c congest.Context, i int) congest.Step {
-		if i >= r.t {
-			return then(c, &State{
-				FragID:      r.fragID,
-				ParentPort:  r.parent,
-				ChildPorts:  append([]int(nil), r.children...),
-				Phases:      r.t,
-				NbrVertexID: r.nbrVid,
-			})
-		}
-		return r.phase(c, i, func(c congest.Context) congest.Step {
-			return loop(c, i+1)
-		})
-	}
-	return loop(c, 0)
+	r.done = then
+	return r.run(c)
 }
 
 func failf(format string, args ...any) {

@@ -9,82 +9,145 @@ import (
 // (see internal/congest/task.go). The blocking Run and the fiber
 // factory both drive exactly this code, so rounds, messages and
 // per-kind counts are bit-identical across engines by construction.
-// Every stage takes the live Context as a parameter and chains into
-// `then`; no Context is ever captured across a park.
+//
+// A phase is a fixed sequence of windows: fragment primitives (run by
+// the runner's embedded fragops.Frame) and two-round cross windows
+// between neighbouring fragments. The runner records which window is
+// in flight as a stage; every primitive hands its result to advance,
+// every cross window delivers to windowMsg and ends in windowEnd, and
+// those dispatch on the stage to the methods below. Each method is one
+// step of Section 4, named after the window whose result it consumes.
 
-// phase executes one Controlled-GHS phase (Section 4 of the paper).
-// All vertices enter aligned and leave aligned; the window schedule is
-// a deterministic function of the phase number alone, so no global
-// coordination is needed.
-func (r *runner) phase(c congest.Context, i int, then cont) congest.Step {
-	h := heightBound(i)
+// stage names the window a runner is waiting on.
+type stage uint8
+
+const (
+	stMeasure       stage = iota // (1) Converge: fragment size and height
+	stParticipation              // (2) Broadcast: F'_i membership
+	stNbrUpdate                  // (3) cross window: neighbor fragment ids
+	stMWOE                       // (4) Argmin: the fragment's MWOE
+	stOwner                      //     WinnerDowncast: the MWOE owner
+	stAnnounce                   // (5) cross window: MWOE announcements
+	stOwnerReport                //     UpPath: the owner's findings
+	stColourBcast                // (6) Broadcast: the root's colour
+	stColourCross                //     cross window: colours to neighbours
+	stColourConv                 //     Converge: parent and child colours
+	stSelect                     // (7) Broadcast: this class selects
+	stCandidate                  //     Argmin: a border with an unmatched child
+	stMatchOrder                 //     WinnerDowncast: the selection order
+	stMatchCross                 //     cross window: the match proposal
+	stMatchReport                //     UpPath: MATCHED to the selected root
+	stUpdOrder                   //     WinnerDowncast: matched-update order
+	stMatchedUp                  //     cross window: the matched update
+	stStatus                     // (8) Broadcast: the fragment's fate
+	stMergeIn                    //     cross window: merge-in crossings
+	stReroot                     //     re-rooting broadcast window
+)
+
+// run starts phase r.phase, or hands the finished forest to r.done
+// once every phase has run. All vertices enter each phase aligned and
+// leave aligned; the window schedule is a deterministic function of
+// the phase number alone, so no global coordination is needed.
+func (r *runner) run(c congest.Context) congest.Step {
+	if r.phase >= r.t {
+		return r.done(c, &State{
+			FragID:      r.fragID,
+			ParentPort:  r.Parent,
+			ChildPorts:  append([]int(nil), r.Children...),
+			Phases:      r.t,
+			NbrVertexID: r.nbrVid,
+		})
+	}
+	i := r.phase
+	r.h = heightBound(i)
 	r.resetPhase()
 	if r.trace != nil {
 		r.trace.StartFrag[i][c.ID()] = r.fragID
 	}
-
 	// (1) Measure: the root learns the exact fragment size and tree
 	// height, validating the Lemma 4.1 window budget as a side effect.
-	return fragops.ConvergeStep(c, r.parent, r.children, c.Round()+h, true, [3]int64{1, 0, 0},
-		func(acc, child [3]int64) [3]int64 {
-			acc[0] += child[0]
-			if child[1]+1 > acc[1] {
-				acc[1] = child[1] + 1
-			}
-			return acc
-		},
-		func(c congest.Context, meas [3]int64, isRoot bool) congest.Step {
-			if isRoot {
-				r.size, r.height = meas[0], meas[1]
-				if r.height+2 > h {
-					failf("fragment %d height %d exceeds the Lemma 4.1 budget %d at phase %d",
-						r.fragID, r.height, h, i)
-				}
-				if r.trace != nil {
-					r.trace.Size[i][c.ID()] = r.size
-					r.trace.Part[i][c.ID()] = r.size <= participateThreshold(i)
-				}
-			}
+	r.stage = stMeasure
+	return r.Converge(c, c.Round()+r.h, true, [3]int64{1, 0, 0}, sizeHeight, r.next)
+}
 
-			// (2) Participation broadcast: F'_i membership (size <= 2^i).
-			return fragops.BroadcastStep(c, r.parent, r.children, c.Round()+h, true,
-				[3]int64{boolWord(r.size <= participateThreshold(i)), 0, 0},
-				func(c congest.Context, part [3]int64, _ bool) congest.Step {
-					r.participate = part[0] == 1
+// advance continues the phase program with the result of the fragment
+// primitive that just ended.
+func (r *runner) advance(c congest.Context, v [3]int64, ok bool) congest.Step {
+	switch r.stage {
+	case stMeasure:
+		return r.measured(c, v, ok)
+	case stParticipation:
+		return r.participation(c, v)
+	case stMWOE:
+		return r.mwoeFound(c, v, ok)
+	case stOwner:
+		return r.ownerFound(c, ok)
+	case stOwnerReport:
+		return r.ownerReported(c, v, ok)
+	case stColourBcast:
+		return r.colourCross(c, v)
+	case stColourConv:
+		return r.colourConverged(c, v, ok)
+	case stSelect:
+		return r.selection(c, v)
+	case stCandidate:
+		return r.candidate(c, v, ok)
+	case stMatchOrder:
+		return r.matchOrder(c, ok)
+	case stMatchReport:
+		return r.matchReported(c, ok)
+	case stUpdOrder:
+		return r.updOrder(c, ok)
+	case stStatus:
+		return r.status(c, v)
+	}
+	failf("vertex %d: primitive ended in cross-window stage %d", c.ID(), r.stage)
+	return congest.Done()
+}
 
-					// (3) Neighbor update: fragment id, vertex id and
-					// participation bit to every neighbor (the paper's
-					// per-phase O(|E|) step).
-					return r.neighborUpdate(c, func(c congest.Context) congest.Step {
-						// (4) MWOE search inside participating fragments.
-						return r.mwoeSearch(c, i, h, func(c congest.Context) congest.Step {
-							// (5) Announce the MWOE across the chosen edge;
-							// detect mutual choices; report the owner's
-							// findings to the root.
-							return r.announce(c, h, func(c congest.Context) congest.Step {
-								// (6) Cole-Vishkin 3-colouring of the
-								// candidate fragment forest.
-								return r.colourForest(c, h, func(c congest.Context) congest.Step {
-									if r.trace != nil && r.isRoot() && r.participate {
-										r.trace.Color[i][c.ID()] = r.color
-									}
-									// (7) Maximal matching in three colour
-									// steps, then (8) merge.
-									return r.matchSteps(c, h, 0, func(c congest.Context) congest.Step {
-										return r.merge(c, i, h, func(c congest.Context) congest.Step {
-											if r.trace != nil {
-												r.trace.Frag[i][c.ID()] = r.fragID
-												r.trace.Parent[i][c.ID()] = r.parent
-											}
-											return then(c)
-										})
-									})
-								})
-							})
-						})
-					})
-				})
-		})
+// windowMsg handles one delivery inside a cross window.
+func (r *runner) windowMsg(c congest.Context, in congest.Inbound) {
+	switch r.stage {
+	case stNbrUpdate:
+		r.nbrMsg(c, in)
+	case stAnnounce:
+		r.announceMsg(c, in)
+	case stColourCross:
+		r.colourMsg(c, in)
+	case stMatchCross:
+		r.matchMsg(c, in)
+	case stMatchedUp:
+		r.matchedUpMsg(c, in)
+	case stMergeIn:
+		r.mergeInMsg(c, in)
+	case stReroot:
+		r.newFragMsg(c, in)
+	default:
+		failf("vertex %d: delivery in primitive stage %d", c.ID(), r.stage)
+	}
+}
+
+// windowEnd continues the phase program when a cross window closes.
+func (r *runner) windowEnd(c congest.Context) congest.Step {
+	switch r.stage {
+	case stNbrUpdate:
+		return r.nbrUpdated(c)
+	case stAnnounce:
+		return r.announced(c)
+	case stColourCross:
+		return r.colourCrossed(c)
+	case stMatchCross:
+		return r.matchCrossed(c)
+	case stMatchedUp:
+		r.cc++
+		return r.matchStep(c)
+	case stMergeIn:
+		return r.reroot(c)
+	case stReroot:
+		return r.rerooted(c)
+	}
+	failf("vertex %d: cross window ended in primitive stage %d", c.ID(), r.stage)
+	return congest.Done()
 }
 
 func (r *runner) resetPhase() {
@@ -93,37 +156,66 @@ func (r *runner) resetPhase() {
 	r.color = r.fragID
 	r.matched, r.roleSelector, r.candExists = false, false, false
 	r.isOwner, r.ownerPort, r.bestPort = false, -1, -1
-	clear(r.foreign)
-	clear(r.childMat)
-	clear(r.treeCross)
+	r.foreign = r.foreign[:0]
+	r.treeCross = r.treeCross[:0]
 	r.parentCol = cvNoParent
-	clear(r.childCol)
-	r.sendUpd, r.selBorder = false, false
 	r.winTmp, r.winMWOE = -1, -1
 	r.fragSelecting, r.newFragSeen = false, false
 	r.fragStatus = statusIsolated
 }
 
-func (r *runner) neighborUpdate(c congest.Context, then cont) congest.Step {
-	deg := c.Degree()
-	for p := 0; p < deg; p++ {
+func (r *runner) measured(c congest.Context, meas [3]int64, isRoot bool) congest.Step {
+	i := r.phase
+	if isRoot {
+		r.size, r.height = meas[0], meas[1]
+		if r.height+2 > r.h {
+			failf("fragment %d height %d exceeds the Lemma 4.1 budget %d at phase %d",
+				r.fragID, r.height, r.h, i)
+		}
+		if r.trace != nil {
+			r.trace.Size[i][c.ID()] = r.size
+			r.trace.Part[i][c.ID()] = r.size <= participateThreshold(i)
+		}
+	}
+	// (2) Participation broadcast: F'_i membership (size <= 2^i).
+	r.stage = stParticipation
+	return r.Broadcast(c, c.Round()+r.h, true,
+		[3]int64{boolWord(r.size <= participateThreshold(i)), 0, 0}, r.next)
+}
+
+// participation records F'_i membership, then runs (3) the neighbor
+// update: fragment id, vertex id and participation bit to every
+// neighbor (the paper's per-phase O(|E|) step).
+func (r *runner) participation(c congest.Context, part [3]int64) congest.Step {
+	r.participate = part[0] == 1
+	for p := 0; p < c.Degree(); p++ {
 		c.Send(p, congest.Message{Kind: KindNbr, A: r.fragID, B: int64(c.ID()), C: boolWord(r.participate)})
 	}
-	got := 0
-	return fragops.WindowStep(c, c.Round()+2, func(c congest.Context, in congest.Inbound) {
-		if in.Msg.Kind != KindNbr {
-			failf("vertex %d: kind %d during neighbor update", c.ID(), in.Msg.Kind)
-		}
-		r.nbrFrag[in.Port] = in.Msg.A
-		r.nbrVid[in.Port] = in.Msg.B
-		r.nbrPart[in.Port] = in.Msg.C == 1
-		got++
-	}, func(c congest.Context) congest.Step {
-		if got != deg {
-			failf("vertex %d: neighbor update heard %d of %d ports", c.ID(), got, deg)
-		}
-		return then(c)
-	})
+	r.heard = 0
+	return r.window(stNbrUpdate, c.Round()+2)
+}
+
+func (r *runner) nbrMsg(c congest.Context, in congest.Inbound) {
+	if in.Msg.Kind != KindNbr {
+		failf("vertex %d: kind %d during neighbor update", c.ID(), in.Msg.Kind)
+	}
+	r.nbrFrag[in.Port] = in.Msg.A
+	r.nbrVid[in.Port] = in.Msg.B
+	r.nbrPart[in.Port] = in.Msg.C == 1
+	r.heard++
+}
+
+// nbrUpdated runs (4) the MWOE search inside participating fragments.
+func (r *runner) nbrUpdated(c congest.Context) congest.Step {
+	if r.heard != c.Degree() {
+		failf("vertex %d: neighbor update heard %d of %d ports", c.ID(), r.heard, c.Degree())
+	}
+	own := sentinel
+	if r.participate {
+		own = r.localMWOE(c)
+	}
+	r.stage = stMWOE
+	return r.Argmin(c, c.Round()+r.h, r.participate, own, &r.winTmp, r.next)
 }
 
 // localMWOE returns this vertex's lightest outgoing edge as a
@@ -148,69 +240,72 @@ func (r *runner) localMWOE(c congest.Context) [3]int64 {
 	return best
 }
 
-func (r *runner) mwoeSearch(c congest.Context, i int, h int64, then cont) congest.Step {
-	var own [3]int64 = sentinel
-	if r.participate {
-		own = r.localMWOE(c)
+// mwoeFound downcasts an execution order to the winning vertex.
+func (r *runner) mwoeFound(c congest.Context, best [3]int64, isRoot bool) congest.Step {
+	r.winMWOE = r.winTmp
+	if isRoot {
+		r.hasMWOE = best != sentinel
 	}
-	return fragops.ArgminStep(c, r.parent, r.children, c.Round()+h, r.participate, own, &r.winTmp,
-		func(c congest.Context, best [3]int64, isRoot bool) congest.Step {
-			r.winMWOE = r.winTmp
-			if isRoot {
-				r.hasMWOE = best != sentinel
-			}
-			// Downcast an execution order to the winning vertex.
-			return fragops.WinnerDowncastStep(c, r.parent, c.Round()+h, isRoot && r.hasMWOE,
-				func() int { return r.winMWOE }, [3]int64{},
-				func(c congest.Context, _ [3]int64, target bool) congest.Step {
-					if target {
-						r.isOwner = true
-						r.ownerPort = r.bestPort
-						if r.ownerPort < 0 {
-							failf("vertex %d: MWOE owner without a local candidate", c.ID())
-						}
-					}
-					return then(c)
-				})
-		})
+	r.stage = stOwner
+	return r.WinnerDowncast(c, c.Round()+r.h, isRoot && r.hasMWOE, &r.winMWOE, [3]int64{}, r.next)
 }
 
-func (r *runner) announce(c congest.Context, h int64, then cont) congest.Step {
+// ownerFound runs (5): announce the MWOE across the chosen edge and
+// detect mutual choices.
+func (r *runner) ownerFound(c congest.Context, target bool) congest.Step {
+	if target {
+		r.isOwner = true
+		r.ownerPort = r.bestPort
+		if r.ownerPort < 0 {
+			failf("vertex %d: MWOE owner without a local candidate", c.ID())
+		}
+	}
 	if r.isOwner {
 		c.Send(r.ownerPort, congest.Message{Kind: KindAnnounce})
 	}
-	mutual := false
-	return fragops.WindowStep(c, c.Round()+2, func(c congest.Context, in congest.Inbound) {
-		if in.Msg.Kind != KindAnnounce {
-			failf("vertex %d: kind %d during announce", c.ID(), in.Msg.Kind)
+	r.mutual = false
+	return r.window(stAnnounce, c.Round()+2)
+}
+
+func (r *runner) announceMsg(c congest.Context, in congest.Inbound) {
+	if in.Msg.Kind != KindAnnounce {
+		failf("vertex %d: kind %d during announce", c.ID(), in.Msg.Kind)
+	}
+	if !r.participate {
+		return // large fragments ignore announces; merge-in marks edges later
+	}
+	if r.isOwner && in.Port == r.ownerPort {
+		// Mutual MWOE: the higher-identity fragment becomes the parent.
+		r.mutual = true
+		if r.fragID > r.nbrFrag[in.Port] {
+			r.addForeign(in.Port)
 		}
-		if !r.participate {
-			return // large fragments ignore announces; merge-in marks edges later
+		return
+	}
+	r.addForeign(in.Port)
+}
+
+// announced reports (mutualWinner, parentParticipates) from the owner
+// to the root.
+func (r *runner) announced(c congest.Context) congest.Step {
+	r.stage = stOwnerReport
+	return r.UpPath(c, c.Round()+r.h, r.isOwner,
+		[3]int64{boolWord(r.mutual && r.fragID > r.nbrFragSafe()), boolWord(r.isOwner && r.nbrPart[max(r.ownerPort, 0)]), 0},
+		r.next)
+}
+
+// ownerReported runs (6): the Cole-Vishkin 3-colouring of the
+// candidate fragment forest.
+func (r *runner) ownerReported(c congest.Context, rep [3]int64, got bool) congest.Step {
+	if r.isRoot() && r.participate && r.hasMWOE {
+		if !got {
+			failf("fragment %d: owner report missing", r.fragID)
 		}
-		if r.isOwner && in.Port == r.ownerPort {
-			// Mutual MWOE: the higher-identity fragment becomes the parent.
-			mutual = true
-			if r.fragID > r.nbrFrag[in.Port] {
-				r.foreign[in.Port] = true
-			}
-			return
-		}
-		r.foreign[in.Port] = true
-	}, func(c congest.Context) congest.Step {
-		// Report (mutualWinner, parentParticipates) from the owner to the root.
-		return fragops.UpPathStep(c, r.parent, r.children, c.Round()+h, r.isOwner,
-			[3]int64{boolWord(mutual && r.fragID > r.nbrFragSafe()), boolWord(r.isOwner && r.nbrPart[maxInt(r.ownerPort, 0)]), 0},
-			func(c congest.Context, rep [3]int64, got bool) congest.Step {
-				if r.isRoot() && r.participate && r.hasMWOE {
-					if !got {
-						failf("fragment %d: owner report missing", r.fragID)
-					}
-					r.mutualWinner = rep[0] == 1
-					r.parentPart = rep[1] == 1
-				}
-				return then(c)
-			})
-	})
+		r.mutualWinner = rep[0] == 1
+		r.parentPart = rep[1] == 1
+	}
+	r.cvIdx = 0
+	return r.colourExchange(c)
 }
 
 func (r *runner) nbrFragSafe() int64 {
@@ -226,260 +321,260 @@ func (r *runner) hasCVParent() bool {
 	return r.hasMWOE && r.parentPart && !r.mutualWinner
 }
 
-// colourForest 3-colours G'_i: cvIterations Cole-Vishkin halvings
-// bring 64-bit identifiers to 6 colours, then shift-down + eliminate
-// removes colours 5, 4 and 3. One extra exchange verifies properness.
-// The schedule is flattened to 2·cvIterations-style indexed stages:
-// idx < cvIterations are halvings, the next six alternate shift-down
-// and eliminate for bad = 5, 4, 3, and the final stage verifies.
-func (r *runner) colourForest(c congest.Context, h int64, then cont) congest.Step {
-	return r.colourStage(c, h, 0, then)
+// colourExchange starts one synchronous colour-communication step of
+// the 3-colouring of G'_i: the root floods its colour through the
+// fragment, border vertices carry it across fragment-graph edges, and a
+// convergecast returns the parent fragment's colour and the minimum
+// child colour to the root. Cost: 2h+2 rounds, O(n) messages over all
+// fragments.
+//
+// cvIterations Cole-Vishkin halvings bring 64-bit identifiers to 6
+// colours, then shift-down + eliminate removes colours 5, 4 and 3. One
+// extra exchange verifies properness. The schedule is flattened to
+// indexed exchanges: cvIdx < cvIterations are halvings, the next six
+// alternate shift-down and eliminate for bad = 5, 4, 3, and the final
+// exchange verifies.
+func (r *runner) colourExchange(c congest.Context) congest.Step {
+	r.stage = stColourBcast
+	return r.Broadcast(c, c.Round()+r.h, r.participate, [3]int64{r.color, 0, 0}, r.next)
 }
 
-func (r *runner) colourStage(c congest.Context, h int64, idx int, then cont) congest.Step {
-	return r.colourExchange(c, h, func(c congest.Context, parent, childCommon int64) congest.Step {
-		atRoot := r.isRoot() && r.participate
-		switch {
-		case idx < cvIterations:
-			if atRoot {
-				r.color = cvReduceStep(r.color, parent)
-			}
-		case idx < cvIterations+6:
-			step := idx - cvIterations
-			bad := int64(5 - step/2)
-			if step%2 == 0 {
-				if atRoot {
-					r.color = cvShiftDown(r.color, parent)
-				}
-			} else if atRoot {
-				r.color = cvEliminate(r.color, bad, parent, childCommon)
-			}
-		default:
-			if atRoot {
-				if r.color < 0 || r.color > 2 {
-					failf("fragment %d: colour %d outside {0,1,2} after CV", r.fragID, r.color)
-				}
-				if r.color == parent || (r.color == childCommon && childCommon != cvNoParent) {
-					failf("fragment %d: improper colouring (own %d, parent %d, children %d)",
-						r.fragID, r.color, parent, childCommon)
-				}
-			}
-			return then(c)
+// colourCross is the cross step: the MWOE owner pushes our colour up to
+// the parent fragment; border vertices holding announce edges push our
+// colour down to each child fragment.
+func (r *runner) colourCross(c congest.Context, col [3]int64) congest.Step {
+	if r.participate {
+		if r.isOwner && r.nbrPart[r.ownerPort] && !r.isMutualWinnerBorder() {
+			c.Send(r.ownerPort, congest.Message{Kind: KindColor, A: col[0]})
 		}
-		return r.colourStage(c, h, idx+1, then)
-	})
+		for _, f := range r.foreign {
+			c.Send(f.port, congest.Message{Kind: KindColor, A: col[0]})
+		}
+	}
+	r.parentCol = cvNoParent
+	for i := range r.foreign {
+		r.foreign[i].colSeen = false
+	}
+	return r.window(stColourCross, c.Round()+2)
 }
 
-// colourExchange is one synchronous colour-communication step: the root
-// floods its colour through the fragment, border vertices carry it
-// across fragment-graph edges, and a convergecast returns the parent
-// fragment's colour and the minimum child colour to the root. Cost:
-// 2h+2 rounds, O(n) messages over all fragments.
-func (r *runner) colourExchange(c congest.Context, h int64,
-	then func(c congest.Context, parent, childMin int64) congest.Step) congest.Step {
-	return fragops.BroadcastStep(c, r.parent, r.children, c.Round()+h, r.participate,
-		[3]int64{r.color, 0, 0},
-		func(c congest.Context, col [3]int64, _ bool) congest.Step {
-			// Cross step: the MWOE owner pushes our colour up to the parent
-			// fragment; border vertices holding announce edges push our colour
-			// down to each child fragment.
-			if r.participate {
-				if r.isOwner && r.nbrPart[r.ownerPort] && !r.isMutualWinnerBorder() {
-					c.Send(r.ownerPort, congest.Message{Kind: KindColor, A: col[0]})
-				}
-				for _, p := range sortedPorts(r.foreign) {
-					c.Send(p, congest.Message{Kind: KindColor, A: col[0]})
-				}
+func (r *runner) colourMsg(c congest.Context, in congest.Inbound) {
+	if in.Msg.Kind != KindColor {
+		failf("vertex %d: kind %d during colour exchange", c.ID(), in.Msg.Kind)
+	}
+	if i, ok := r.findForeign(in.Port); ok {
+		r.foreign[i].col, r.foreign[i].colSeen = in.Msg.A, true
+		return
+	}
+	if r.isOwner && in.Port == r.ownerPort {
+		r.parentCol = in.Msg.A
+		return
+	}
+	failf("vertex %d: colour from unrelated port %d", c.ID(), in.Port)
+}
+
+func (r *runner) colourCrossed(c congest.Context) congest.Step {
+	ownParent := int64cvOrSentinel(r.parentCol)
+	ownChild := sentinel[0]
+	for _, f := range r.foreign {
+		if f.colSeen && f.col < ownChild {
+			ownChild = f.col
+		}
+	}
+	r.stage = stColourConv
+	return r.Converge(c, c.Round()+r.h, r.participate, [3]int64{ownParent, ownChild, 0}, minPair, r.next)
+}
+
+// colourConverged applies exchange cvIdx at the root, then starts the
+// next exchange or, after the verifying one, the matching.
+func (r *runner) colourConverged(c congest.Context, acc [3]int64, isRoot bool) congest.Step {
+	parent, childCommon := cvNoParent, cvNoParent
+	if isRoot {
+		if acc[0] != sentinel[0] {
+			parent = acc[0]
+		}
+		if acc[1] != sentinel[0] {
+			childCommon = acc[1]
+		}
+	}
+	atRoot := r.isRoot() && r.participate
+	switch idx := r.cvIdx; {
+	case idx < cvIterations:
+		if atRoot {
+			r.color = cvReduceStep(r.color, parent)
+		}
+	case idx < cvIterations+6:
+		step := idx - cvIterations
+		bad := int64(5 - step/2)
+		if step%2 == 0 {
+			if atRoot {
+				r.color = cvShiftDown(r.color, parent)
 			}
-			r.parentCol = cvNoParent
-			clear(r.childCol)
-			return fragops.WindowStep(c, c.Round()+2, func(c congest.Context, in congest.Inbound) {
-				if in.Msg.Kind != KindColor {
-					failf("vertex %d: kind %d during colour exchange", c.ID(), in.Msg.Kind)
-				}
-				if r.foreign[in.Port] {
-					r.childCol[in.Port] = in.Msg.A
-					return
-				}
-				if r.isOwner && in.Port == r.ownerPort {
-					r.parentCol = in.Msg.A
-					return
-				}
-				failf("vertex %d: colour from unrelated port %d", c.ID(), in.Port)
-			}, func(c congest.Context) congest.Step {
-				ownParent := int64cvOrSentinel(r.parentCol)
-				ownChild := sentinel[0]
-				for _, p := range sortedPorts(r.childCol) {
-					if cc := r.childCol[p]; cc < ownChild {
-						ownChild = cc
-					}
-				}
-				return fragops.ConvergeStep(c, r.parent, r.children, c.Round()+h, r.participate,
-					[3]int64{ownParent, ownChild, 0},
-					func(acc, child [3]int64) [3]int64 {
-						if child[0] < acc[0] {
-							acc[0] = child[0]
-						}
-						if child[1] < acc[1] {
-							acc[1] = child[1]
-						}
-						return acc
-					},
-					func(c congest.Context, acc [3]int64, isRoot bool) congest.Step {
-						if !isRoot {
-							return then(c, cvNoParent, cvNoParent)
-						}
-						parent, childMin := cvNoParent, cvNoParent
-						if acc[0] != sentinel[0] {
-							parent = acc[0]
-						}
-						if acc[1] != sentinel[0] {
-							childMin = acc[1]
-						}
-						return then(c, parent, childMin)
-					})
-			})
-		})
+		} else if atRoot {
+			r.color = cvEliminate(r.color, bad, parent, childCommon)
+		}
+	default:
+		if atRoot {
+			if r.color < 0 || r.color > 2 {
+				failf("fragment %d: colour %d outside {0,1,2} after CV", r.fragID, r.color)
+			}
+			if r.color == parent || (r.color == childCommon && childCommon != cvNoParent) {
+				failf("fragment %d: improper colouring (own %d, parent %d, children %d)",
+					r.fragID, r.color, parent, childCommon)
+			}
+			if r.trace != nil {
+				r.trace.Color[r.phase][c.ID()] = r.color
+			}
+		}
+		// (7) Maximal matching in three colour steps, then (8) merge.
+		r.cc = 0
+		return r.matchStep(c)
+	}
+	r.cvIdx++
+	return r.colourExchange(c)
 }
 
 // isMutualWinnerBorder reports whether this owner vertex won a mutual
 // MWOE tie (its fragment has no CV parent through this edge).
 func (r *runner) isMutualWinnerBorder() bool {
-	return r.isOwner && r.foreign[r.ownerPort]
-}
-
-// matchSteps runs the three colour classes of the maximal matching in
-// sequence.
-func (r *runner) matchSteps(c congest.Context, h int64, colour int64, then cont) congest.Step {
-	if colour >= 3 {
-		return then(c)
+	if !r.isOwner {
+		return false
 	}
-	return r.matchStep(c, h, colour, func(c congest.Context) congest.Step {
-		return r.matchSteps(c, h, colour+1, then)
-	})
+	_, ok := r.findForeign(r.ownerPort)
+	return ok
 }
 
-// matchStep runs one colour class of the maximal matching: fragments of
-// colour cc that are still unmatched select one unmatched child, matched
-// fragments notify their parents.
-func (r *runner) matchStep(c congest.Context, h int64, cc int64, then cont) congest.Step {
-	// (a) Selection broadcast.
-	return fragops.BroadcastStep(c, r.parent, r.children, c.Round()+h, r.participate,
-		[3]int64{boolWord(r.participate && r.color == cc && !r.matched), 0, 0},
-		func(c congest.Context, sel [3]int64, _ bool) congest.Step {
-			r.fragSelecting = r.participate && sel[0] == 1
+// matchStep runs colour class r.cc of the maximal matching (the three
+// classes in sequence, then the merge): fragments of that colour that
+// are still unmatched select one unmatched child, matched fragments
+// notify their parents. It starts with (a) the selection broadcast.
+func (r *runner) matchStep(c congest.Context) congest.Step {
+	if r.cc >= 3 {
+		return r.merge(c)
+	}
+	r.stage = stSelect
+	return r.Broadcast(c, c.Round()+r.h, r.participate,
+		[3]int64{boolWord(r.participate && r.color == r.cc && !r.matched), 0, 0}, r.next)
+}
 
-			// (b) Candidate argmin: borders holding an unmatched child bid
-			// with their vertex id.
-			own := sentinel
-			if r.fragSelecting {
-				for _, p := range sortedPorts(r.foreign) {
-					if !r.childMat[p] {
-						own = [3]int64{0, int64(c.ID()), 0}
-						break
-					}
-				}
-			}
-			return fragops.ArgminStep(c, r.parent, r.children, c.Round()+h, r.fragSelecting, own, &r.winTmp,
-				func(c congest.Context, best [3]int64, isRoot bool) congest.Step {
-					if isRoot && r.fragSelecting {
-						r.candExists = best != sentinel
-						if r.candExists {
-							r.matched = true
-							r.roleSelector = true
-						}
-					}
+// unmatchedChild returns the lowest announce port whose child fragment
+// is unmatched, or -1.
+func (r *runner) unmatchedChild() int {
+	for i := range r.foreign {
+		if !r.foreign[i].matched {
+			return i
+		}
+	}
+	return -1
+}
 
-					// (c) Downcast the selection order to the winning border
-					// vertex. Note: isRoot here is the argmin's report, which
-					// is false at non-selecting fragments.
-					return fragops.WinnerDowncastStep(c, r.parent, c.Round()+h,
-						isRoot && r.fragSelecting && r.candExists,
-						func() int { return r.winTmp }, [3]int64{},
-						func(c congest.Context, _ [3]int64, target bool) congest.Step {
-							// (d) Cross: propose the match over the lowest
-							// unmatched child port.
-							if target {
-								q := -1
-								for _, p := range sortedPorts(r.foreign) {
-									if !r.childMat[p] {
-										q = p
-										break
-									}
-								}
-								if q < 0 {
-									failf("vertex %d: selected as match border with no unmatched child", c.ID())
-								}
-								r.childMat[q] = true
-								r.treeCross[q] = true
-								c.Send(q, congest.Message{Kind: KindMatch})
-							}
-							selectedHere := false
-							return fragops.WindowStep(c, c.Round()+2, func(c congest.Context, in congest.Inbound) {
-								if in.Msg.Kind != KindMatch {
-									failf("vertex %d: kind %d during match cross", c.ID(), in.Msg.Kind)
-								}
-								if !r.isOwner || in.Port != r.ownerPort {
-									failf("vertex %d: match proposal on non-MWOE port %d", c.ID(), in.Port)
-								}
-								selectedHere = true
-								r.treeCross[in.Port] = true
-							}, func(c congest.Context) congest.Step {
-								// (e) The selected fragment's owner reports
-								// MATCHED to its root.
-								return fragops.UpPathStep(c, r.parent, r.children, c.Round()+h, selectedHere,
-									[3]int64{1, 0, 0},
-									func(c congest.Context, _ [3]int64, gotSel bool) congest.Step {
-										if r.isRoot() && gotSel {
-											if r.matched {
-												failf("fragment %d: selected while already matched", r.fragID)
-											}
-											r.matched = true
-											r.fragStatus = statusSelected
-										}
-										if r.isRoot() && r.roleSelector {
-											r.fragStatus = statusSelector
-										}
+// selection runs (b) the candidate argmin: borders holding an
+// unmatched child bid with their vertex id.
+func (r *runner) selection(c congest.Context, sel [3]int64) congest.Step {
+	r.fragSelecting = r.participate && sel[0] == 1
+	own := sentinel
+	if r.fragSelecting && r.unmatchedChild() >= 0 {
+		own = [3]int64{0, int64(c.ID()), 0}
+	}
+	r.stage = stCandidate
+	return r.Argmin(c, c.Round()+r.h, r.fragSelecting, own, &r.winTmp, r.next)
+}
 
-										// (f) Fragments matched in this step tell
-										// their own parent border to send a
-										// matched-update cross (so the parent
-										// stops selecting them).
-										initiate := isRoot && ((r.roleSelector && r.fragSelecting) || gotSel) && r.hasCVParent()
-										return fragops.WinnerDowncastStep(c, r.parent, c.Round()+h, initiate,
-											func() int { return r.winMWOE }, [3]int64{},
-											func(c congest.Context, _ [3]int64, updTarget bool) congest.Step {
-												if updTarget {
-													r.sendUpd = true
-												}
+// candidate runs (c): downcast the selection order to the winning
+// border vertex. isRoot is the argmin's report, which is false at
+// non-selecting fragments; (f) reuses it.
+func (r *runner) candidate(c congest.Context, best [3]int64, isRoot bool) congest.Step {
+	if isRoot && r.fragSelecting {
+		r.candExists = best != sentinel
+		if r.candExists {
+			r.matched = true
+			r.roleSelector = true
+		}
+	}
+	r.argOK = isRoot
+	r.stage = stMatchOrder
+	return r.WinnerDowncast(c, c.Round()+r.h, isRoot && r.fragSelecting && r.candExists,
+		&r.winTmp, [3]int64{}, r.next)
+}
 
-												// (g) Matched-update cross.
-												if r.sendUpd {
-													r.sendUpd = false
-													c.Send(r.ownerPort, congest.Message{Kind: KindMatchedUp})
-												}
-												return fragops.WindowStep(c, c.Round()+2, func(c congest.Context, in congest.Inbound) {
-													if in.Msg.Kind != KindMatchedUp {
-														failf("vertex %d: kind %d during matched update", c.ID(), in.Msg.Kind)
-													}
-													if !r.foreign[in.Port] {
-														failf("vertex %d: matched update on non-child port %d", c.ID(), in.Port)
-													}
-													r.childMat[in.Port] = true
-												}, then)
-											})
-									})
-							})
-						})
-				})
-		})
+// matchOrder runs (d) the cross: propose the match over the lowest
+// unmatched child port.
+func (r *runner) matchOrder(c congest.Context, target bool) congest.Step {
+	if target {
+		i := r.unmatchedChild()
+		if i < 0 {
+			failf("vertex %d: selected as match border with no unmatched child", c.ID())
+		}
+		q := r.foreign[i].port
+		r.foreign[i].matched = true
+		r.addTreeCross(q)
+		c.Send(q, congest.Message{Kind: KindMatch})
+	}
+	r.selectedHere = false
+	return r.window(stMatchCross, c.Round()+2)
+}
+
+func (r *runner) matchMsg(c congest.Context, in congest.Inbound) {
+	if in.Msg.Kind != KindMatch {
+		failf("vertex %d: kind %d during match cross", c.ID(), in.Msg.Kind)
+	}
+	if !r.isOwner || in.Port != r.ownerPort {
+		failf("vertex %d: match proposal on non-MWOE port %d", c.ID(), in.Port)
+	}
+	r.selectedHere = true
+	r.addTreeCross(in.Port)
+}
+
+// matchCrossed runs (e): the selected fragment's owner reports MATCHED
+// to its root.
+func (r *runner) matchCrossed(c congest.Context) congest.Step {
+	r.stage = stMatchReport
+	return r.UpPath(c, c.Round()+r.h, r.selectedHere, [3]int64{1, 0, 0}, r.next)
+}
+
+// matchReported runs (f): fragments matched in this step tell their own
+// parent border to send a matched-update cross (so the parent stops
+// selecting them).
+func (r *runner) matchReported(c congest.Context, gotSel bool) congest.Step {
+	if r.isRoot() && gotSel {
+		if r.matched {
+			failf("fragment %d: selected while already matched", r.fragID)
+		}
+		r.matched = true
+		r.fragStatus = statusSelected
+	}
+	if r.isRoot() && r.roleSelector {
+		r.fragStatus = statusSelector
+	}
+	initiate := r.argOK && ((r.roleSelector && r.fragSelecting) || gotSel) && r.hasCVParent()
+	r.stage = stUpdOrder
+	return r.WinnerDowncast(c, c.Round()+r.h, initiate, &r.winMWOE, [3]int64{}, r.next)
+}
+
+// updOrder runs (g) the matched-update cross.
+func (r *runner) updOrder(c congest.Context, updTarget bool) congest.Step {
+	if updTarget {
+		c.Send(r.ownerPort, congest.Message{Kind: KindMatchedUp})
+	}
+	return r.window(stMatchedUp, c.Round()+2)
+}
+
+func (r *runner) matchedUpMsg(c congest.Context, in congest.Inbound) {
+	if in.Msg.Kind != KindMatchedUp {
+		failf("vertex %d: kind %d during matched update", c.ID(), in.Msg.Kind)
+	}
+	i, ok := r.findForeign(in.Port)
+	if !ok {
+		failf("vertex %d: matched update on non-child port %d", c.ID(), in.Port)
+	}
+	r.foreign[i].matched = true
 }
 
 // merge finishes the phase: every participating fragment learns its
 // fate, unmatched fragments send merge-in crossings over their MWOE,
 // and the new fragments are installed by a re-rooting broadcast from
 // the component centres.
-func (r *runner) merge(c congest.Context, i int, h int64, then cont) congest.Step {
+func (r *runner) merge(c congest.Context) congest.Step {
 	status := statusIsolated
 	if r.isRoot() && r.participate {
 		switch {
@@ -489,77 +584,113 @@ func (r *runner) merge(c congest.Context, i int, h int64, then cont) congest.Ste
 			status = statusUnmatched
 		}
 	}
-	return fragops.BroadcastStep(c, r.parent, r.children, c.Round()+h, r.participate,
-		[3]int64{status, 0, 0},
-		func(c congest.Context, st [3]int64, _ bool) congest.Step {
-			if r.participate {
-				r.fragStatus = st[0]
-			}
-
-			// Merge-in crossings from unmatched fragments.
-			if r.participate && r.fragStatus == statusUnmatched && r.isOwner {
-				r.treeCross[r.ownerPort] = true
-				c.Send(r.ownerPort, congest.Message{Kind: KindMergeIn})
-			}
-			return fragops.WindowStep(c, c.Round()+2, func(c congest.Context, in congest.Inbound) {
-				if in.Msg.Kind != KindMergeIn {
-					failf("vertex %d: kind %d during merge-in", c.ID(), in.Msg.Kind)
-				}
-				r.treeCross[in.Port] = true
-			}, func(c congest.Context) congest.Step {
-				// Re-rooting broadcast from the component centres. Window:
-				// the new fragment diameter is at most 6·2^(i+1) (Lemma 4.1).
-				end := c.Round() + 2*h + 4
-				initiator := r.isRoot() && (!r.participate || r.fragStatus == statusSelector || r.fragStatus == statusIsolated)
-				treePorts := make([]int, 0, len(r.children)+len(r.treeCross)+1)
-				treePorts = append(treePorts, r.children...)
-				if r.parent >= 0 {
-					treePorts = append(treePorts, r.parent)
-				}
-				treePorts = append(treePorts, sortedPorts(r.treeCross)...)
-				if initiator {
-					r.newFragSeen = true
-					r.parent = -1
-					r.children = treePorts
-					for _, p := range treePorts {
-						c.Send(p, congest.Message{Kind: KindNewFrag, A: r.fragID})
-					}
-				}
-				return fragops.WindowStep(c, end, func(c congest.Context, in congest.Inbound) {
-					if in.Msg.Kind != KindNewFrag {
-						failf("vertex %d: kind %d during re-rooting", c.ID(), in.Msg.Kind)
-					}
-					if r.newFragSeen {
-						failf("vertex %d: second NewFrag broadcast (cycle in merge graph)", c.ID())
-					}
-					r.newFragSeen = true
-					r.fragID = in.Msg.A
-					arrival := false
-					for _, p := range treePorts {
-						if p == in.Port {
-							arrival = true
-						}
-					}
-					if !arrival {
-						failf("vertex %d: NewFrag arrived on non-tree port %d", c.ID(), in.Port)
-					}
-					r.parent = in.Port
-					r.children = r.children[:0]
-					for _, p := range treePorts {
-						if p != in.Port {
-							r.children = append(r.children, p)
-							c.Send(p, in.Msg)
-						}
-					}
-				}, func(c congest.Context) congest.Step {
-					if !r.newFragSeen {
-						failf("vertex %d: never received the re-rooting broadcast", c.ID())
-					}
-					return then(c)
-				})
-			})
-		})
+	r.stage = stStatus
+	return r.Broadcast(c, c.Round()+r.h, r.participate, [3]int64{status, 0, 0}, r.next)
 }
+
+// status sends the merge-in crossings from unmatched fragments.
+func (r *runner) status(c congest.Context, st [3]int64) congest.Step {
+	if r.participate {
+		r.fragStatus = st[0]
+	}
+	if r.participate && r.fragStatus == statusUnmatched && r.isOwner {
+		r.addTreeCross(r.ownerPort)
+		c.Send(r.ownerPort, congest.Message{Kind: KindMergeIn})
+	}
+	return r.window(stMergeIn, c.Round()+2)
+}
+
+func (r *runner) mergeInMsg(c congest.Context, in congest.Inbound) {
+	if in.Msg.Kind != KindMergeIn {
+		failf("vertex %d: kind %d during merge-in", c.ID(), in.Msg.Kind)
+	}
+	r.addTreeCross(in.Port)
+}
+
+// reroot starts the re-rooting broadcast from the component centres.
+// Window: the new fragment diameter is at most 6·2^(i+1) (Lemma 4.1).
+// r.ports never shares a backing array with r.Children (an initiator
+// swaps the two), so rebuilding the children from r.ports in
+// newFragMsg cannot clobber it.
+func (r *runner) reroot(c congest.Context) congest.Step {
+	end := c.Round() + 2*r.h + 4
+	initiator := r.isRoot() && (!r.participate || r.fragStatus == statusSelector || r.fragStatus == statusIsolated)
+	ports := append(r.ports[:0], r.Children...)
+	if r.Parent >= 0 {
+		ports = append(ports, r.Parent)
+	}
+	ports = append(ports, r.treeCross...)
+	r.ports = ports
+	if initiator {
+		r.newFragSeen = true
+		r.Parent = -1
+		r.Children, r.ports = ports, r.Children[:0]
+		for _, p := range ports {
+			c.Send(p, congest.Message{Kind: KindNewFrag, A: r.fragID})
+		}
+	}
+	return r.window(stReroot, end)
+}
+
+func (r *runner) newFragMsg(c congest.Context, in congest.Inbound) {
+	if in.Msg.Kind != KindNewFrag {
+		failf("vertex %d: kind %d during re-rooting", c.ID(), in.Msg.Kind)
+	}
+	if r.newFragSeen {
+		failf("vertex %d: second NewFrag broadcast (cycle in merge graph)", c.ID())
+	}
+	r.newFragSeen = true
+	r.fragID = in.Msg.A
+	arrival := false
+	for _, p := range r.ports {
+		if p == in.Port {
+			arrival = true
+		}
+	}
+	if !arrival {
+		failf("vertex %d: NewFrag arrived on non-tree port %d", c.ID(), in.Port)
+	}
+	r.Parent = in.Port
+	r.Children = r.Children[:0]
+	for _, p := range r.ports {
+		if p != in.Port {
+			r.Children = append(r.Children, p)
+			c.Send(p, in.Msg)
+		}
+	}
+}
+
+// rerooted closes the phase and starts the next one.
+func (r *runner) rerooted(c congest.Context) congest.Step {
+	if !r.newFragSeen {
+		failf("vertex %d: never received the re-rooting broadcast", c.ID())
+	}
+	if r.trace != nil {
+		r.trace.Frag[r.phase][c.ID()] = r.fragID
+		r.trace.Parent[r.phase][c.ID()] = r.Parent
+	}
+	r.phase++
+	return r.run(c)
+}
+
+// sizeHeight folds a child's (size, height) report: sizes add, the
+// height is one more than the tallest child's.
+func sizeHeight(acc, child [3]int64) [3]int64 {
+	acc[0] += child[0]
+	if child[1]+1 > acc[1] {
+		acc[1] = child[1] + 1
+	}
+	return acc
+}
+
+// minPair folds the (parent colour, minimum child colour) convergecast.
+func minPair(acc, child [3]int64) [3]int64 {
+	acc[0] = min(acc[0], child[0])
+	acc[1] = min(acc[1], child[1])
+	return acc
+}
+
+func keyLess(a, b [3]int64) bool { return fragops.KeyLess(a, b) }
 
 func boolWord(b bool) int64 {
 	if b {
@@ -573,11 +704,4 @@ func int64cvOrSentinel(c int64) int64 {
 		return sentinel[0]
 	}
 	return c
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -6,18 +6,22 @@
 //
 // All primitives are driven by absolute round deadlines: every vertex
 // of the graph calls the same primitive in the same round with a common
-// `end`, and returns exactly at round `end`. A vertex whose fragment is
-// not active simply drains its (empty) window, so global alignment is
-// preserved without any coordination traffic.
+// `end`, and its continuation runs exactly at round `end`. A vertex
+// whose fragment is not active simply drains its (empty) window, so
+// global alignment is preserved without any coordination traffic.
 //
-// Each primitive is written once, in resumable Step form (the *Step
-// functions), and the blocking form is a congest.RunSteps wrapper over
-// it. There is a single copy of every message handler, so the fiber
-// engine and the blocking engines execute identical logic and report
-// bit-identical statistics. Step-form handlers and continuations take
-// the live congest.Context as a parameter and must not capture one
-// across parks (fiber engines re-point a shared per-shard Context
-// between wakes).
+// The primitives are methods on a per-vertex Frame, written once in
+// resumable Step form: each returns a congest.Window whose handler and
+// end continuation are the Frame's own, bound once by Init, so running
+// a primitive and parking in its window allocates nothing. A vertex runs
+// one primitive at a time; the continuation it hands a primitive
+// receives the result and may start the next one on the same Frame.
+// Every engine (the blocking ones through congest.RunSteps, the fiber
+// engine through congest.StepFiber) executes this single copy of each
+// message handler, so statistics are bit-identical across engines.
+// Handlers and continuations take the live congest.Context as a
+// parameter and must not capture one across parks (fiber engines
+// re-point a shared per-shard Context between wakes).
 package fragops
 
 import (
@@ -50,45 +54,243 @@ func KeyLess(a, b [3]int64) bool {
 	return a[2] < b[2]
 }
 
-// WindowStep drains deliveries until the absolute round end,
-// dispatching each inbound message to handle, then continues with
-// then. If the vertex is already at or past end the continuation runs
-// immediately, matching the blocking Window's no-op return.
-func WindowStep(c congest.Context, end int64, handle func(c congest.Context, in congest.Inbound),
-	then func(c congest.Context) congest.Step) congest.Step {
-	var loop congest.Resume
-	loop = func(c congest.Context, msgs []congest.Inbound) congest.Step {
-		for _, in := range msgs {
-			handle(c, in)
-		}
-		if c.Round() < end {
-			return congest.Until(end, loop)
-		}
-		return then(c)
+// Then is the continuation a primitive hands its result to at round
+// end: a 3-word value and a flag whose meaning each primitive documents.
+type Then func(c congest.Context, v [3]int64, ok bool) congest.Step
+
+// op is the primitive a Frame is currently running.
+type op uint8
+
+const (
+	opDrain op = iota
+	opConverge
+	opArgmin
+	opBroadcast
+	opWinner
+	opUpPath
+)
+
+var opNames = [...]string{"drain", "convergecast", "argmin", "broadcast", "winner downcast", "UpPath"}
+
+// Frame is one vertex's fragment-tree position plus the state of the
+// primitive it is running. The zero Frame is unusable; call Init once
+// per vertex, and update Parent/Children in place as the tree changes.
+type Frame struct {
+	Parent   int   // fragment-tree parent port, -1 at the fragment root
+	Children []int // fragment-tree child ports
+
+	op      op
+	active  bool
+	val     [3]int64 // accumulator, received payload or drained result
+	flag    bool     // sent (converge/argmin), received, or target
+	pend    int      // children still to report (converge/argmin)
+	combine func(acc, child [3]int64) [3]int64
+	winner  *int // argmin: pointer being written; downcast: pointer being followed
+	then    Then
+
+	// The window handler and end continuation, bound once by Init.
+	handle func(c congest.Context, in congest.Inbound)
+	finish func(c congest.Context) congest.Step
+}
+
+// Init places the vertex in its fragment tree and binds the Frame's
+// window callbacks.
+func (f *Frame) Init(parent int, children []int) {
+	f.Parent, f.Children = parent, children
+	f.handle, f.finish = f.onMsg, f.onEnd
+}
+
+// start arms the Frame for one primitive and returns its window.
+func (f *Frame) start(o op, end int64, val [3]int64, then Then) congest.Step {
+	f.op, f.val, f.flag, f.then = o, val, false, then
+	return congest.Window(end, f.handle, f.finish)
+}
+
+// Drain asserts that nothing arrives until end, then hands then
+// (zero, false).
+func (f *Frame) Drain(end int64, then Then) congest.Step {
+	return f.start(opDrain, end, [3]int64{}, then)
+}
+
+// Converge runs one fragment-internal convergecast inside [now, end):
+// every vertex of an active fragment contributes own; combine folds a
+// child's reported value into the accumulator. The fragment root is
+// handed (combined, true); everyone else (partial, false). An inactive
+// vertex drains the window and is handed (own, false).
+func (f *Frame) Converge(c congest.Context, end int64, active bool, own [3]int64,
+	combine func(acc, child [3]int64) [3]int64, then Then) congest.Step {
+	if !active {
+		return f.start(opDrain, end, own, then)
 	}
-	return loop(c, nil)
+	s := f.start(opConverge, end, own, then)
+	f.combine = combine
+	f.pend = len(f.Children)
+	f.upcast(c)
+	return s
 }
 
-// Window drains deliveries until the absolute round end, dispatching
-// each inbound message to handle. On return the vertex is at round end.
-func Window(ctx congest.Context, end int64, handle func(congest.Inbound)) {
-	congest.RunSteps(ctx, WindowStep(ctx, end,
-		func(c congest.Context, in congest.Inbound) { handle(in) },
-		func(c congest.Context) congest.Step { return congest.Done() }))
+// Argmin is Converge specialised to lexicographic minimisation. It
+// records a winner pointer into *winner: -2 if this vertex's own key
+// won locally, -1 if no candidate reached here, or the child port whose
+// subtree supplied the local minimum. A vertex with no candidate passes
+// the Sentinel; an inactive vertex is handed (Sentinel, false).
+func (f *Frame) Argmin(c congest.Context, end int64, active bool, own [3]int64,
+	winner *int, then Then) congest.Step {
+	*winner = -1
+	if own != Sentinel {
+		*winner = -2
+	}
+	if !active {
+		return f.start(opDrain, end, Sentinel, then)
+	}
+	s := f.start(opArgmin, end, own, then)
+	f.winner = winner
+	f.pend = len(f.Children)
+	f.upcast(c)
+	return s
 }
 
-// DrainStep asserts that nothing arrives until end, then continues.
-func DrainStep(c congest.Context, end int64, then func(c congest.Context) congest.Step) congest.Step {
-	return WindowStep(c, end, func(c congest.Context, in congest.Inbound) {
-		failf("vertex %d: unexpected kind %d on port %d at round %d",
-			c.ID(), in.Msg.Kind, in.Port, c.Round())
-	}, then)
+// upcast sends the accumulator to the parent once every child has
+// reported (converge and argmin).
+func (f *Frame) upcast(c congest.Context) {
+	if f.pend == 0 && f.Parent >= 0 && !f.flag {
+		f.flag = true
+		c.Send(f.Parent, congest.Message{Kind: KindConv, A: f.val[0], B: f.val[1], C: f.val[2]})
+	}
 }
 
-// Drain asserts that nothing arrives until end.
-func Drain(ctx congest.Context, end int64) {
-	congest.RunSteps(ctx, DrainStep(ctx, end,
-		func(c congest.Context) congest.Step { return congest.Done() }))
+// Broadcast distributes a 3-word payload from the fragment root inside
+// [now, end), handing then the payload and whether one was received
+// (true everywhere in active fragments).
+func (f *Frame) Broadcast(c congest.Context, end int64, active bool, own [3]int64, then Then) congest.Step {
+	if active && f.Parent < 0 {
+		for _, ch := range f.Children {
+			c.Send(ch, congest.Message{Kind: KindBcast, A: own[0], B: own[1], C: own[2]})
+		}
+		s := f.start(opDrain, end, own, then)
+		f.flag = true
+		return s
+	}
+	s := f.start(opBroadcast, end, [3]int64{}, then)
+	f.active = active
+	return s
+}
+
+// WinnerDowncast follows argmin winner pointers from the fragment root
+// to the winning vertex inside [now, end). initiate must hold only at
+// roots of fragments that start a downcast; winner points at this
+// vertex's recorded pointer and is read when the downcast passes. then
+// is handed the payload and whether this vertex is the target.
+func (f *Frame) WinnerDowncast(c congest.Context, end int64, initiate bool, winner *int,
+	payload [3]int64, then Then) congest.Step {
+	s := f.start(opWinner, end, [3]int64{}, then)
+	f.winner = winner
+	if initiate {
+		switch w := *winner; {
+		case w == -2:
+			f.flag, f.val = true, payload
+		case w >= 0:
+			c.Send(w, congest.Message{Kind: KindWinner, A: payload[0], B: payload[1], C: payload[2]})
+		default:
+			failf("vertex %d: downcast initiated with no winner", c.ID())
+		}
+	}
+	return s
+}
+
+// UpPath sends a 3-word payload from one origin vertex up the fragment
+// tree to the root inside [now, end). The root is handed (payload,
+// true) if an origin existed in its fragment.
+func (f *Frame) UpPath(c congest.Context, end int64, origin bool, payload [3]int64, then Then) congest.Step {
+	s := f.start(opUpPath, end, [3]int64{}, then)
+	if origin {
+		f.deliverUp(c, payload)
+	}
+	return s
+}
+
+// deliverUp passes one UpPath payload toward the root, or keeps it at
+// the root.
+func (f *Frame) deliverUp(c congest.Context, m [3]int64) {
+	if f.Parent < 0 {
+		if f.flag {
+			failf("vertex %d: two UpPath payloads in one fragment", c.ID())
+		}
+		f.flag, f.val = true, m
+		return
+	}
+	c.Send(f.Parent, congest.Message{Kind: KindUpPath, A: m[0], B: m[1], C: m[2]})
+}
+
+// onMsg is the window handler of every primitive.
+func (f *Frame) onMsg(c congest.Context, in congest.Inbound) {
+	m := in.Msg
+	got := [3]int64{m.A, m.B, m.C}
+	switch f.op {
+	case opConverge, opArgmin:
+		if m.Kind != KindConv || !isChild(f.Children, in.Port) {
+			f.unexpected(c, in)
+		}
+		if f.op == opConverge {
+			f.val = f.combine(f.val, got)
+		} else if KeyLess(got, f.val) {
+			f.val = got
+			*f.winner = in.Port
+		}
+		f.pend--
+		f.upcast(c)
+	case opBroadcast:
+		if m.Kind != KindBcast || in.Port != f.Parent || f.flag {
+			f.unexpected(c, in)
+		}
+		f.flag, f.val = true, got
+		for _, ch := range f.Children {
+			c.Send(ch, congest.Message{Kind: KindBcast, A: m.A, B: m.B, C: m.C})
+		}
+	case opWinner:
+		if m.Kind != KindWinner || in.Port != f.Parent {
+			f.unexpected(c, in)
+		}
+		switch w := *f.winner; {
+		case w == -2:
+			f.flag, f.val = true, got
+		case w >= 0:
+			c.Send(w, m)
+		default:
+			failf("vertex %d: winner downcast hit a dead end", c.ID())
+		}
+	case opUpPath:
+		if m.Kind != KindUpPath || !isChild(f.Children, in.Port) {
+			f.unexpected(c, in)
+		}
+		f.deliverUp(c, got)
+	default:
+		f.unexpected(c, in)
+	}
+}
+
+func (f *Frame) unexpected(c congest.Context, in congest.Inbound) {
+	failf("vertex %d: kind %d from port %d during %s at round %d",
+		c.ID(), in.Msg.Kind, in.Port, opNames[f.op], c.Round())
+}
+
+// onEnd is the window end continuation of every primitive: it checks
+// the primitive's completion invariant and hands the result on.
+func (f *Frame) onEnd(c congest.Context) congest.Step {
+	switch f.op {
+	case opConverge, opArgmin:
+		if f.pend != 0 {
+			failf("vertex %d: %s missed %d children (window too small)", c.ID(), opNames[f.op], f.pend)
+		}
+		f.flag = f.Parent < 0
+	case opBroadcast:
+		if f.active && !f.flag {
+			failf("vertex %d: broadcast never arrived", c.ID())
+		}
+	}
+	then := f.then
+	f.then, f.combine, f.winner = nil, nil, nil
+	return then(c, f.val, f.flag)
 }
 
 func isChild(children []int, p int) bool {
@@ -98,260 +300,6 @@ func isChild(children []int, p int) bool {
 		}
 	}
 	return false
-}
-
-// ConvergeStep is the resumable form of Converge; then receives the
-// blocking form's results.
-func ConvergeStep(c congest.Context, parent int, children []int, end int64, active bool,
-	own [3]int64, combine func(acc, child [3]int64) [3]int64,
-	then func(c congest.Context, acc [3]int64, isRoot bool) congest.Step) congest.Step {
-	if !active {
-		return DrainStep(c, end, func(c congest.Context) congest.Step {
-			return then(c, own, false)
-		})
-	}
-	acc := own
-	pend := len(children)
-	sent := false
-	maybeSend := func(c congest.Context) {
-		if pend == 0 && parent >= 0 && !sent {
-			sent = true
-			c.Send(parent, congest.Message{Kind: KindConv, A: acc[0], B: acc[1], C: acc[2]})
-		}
-	}
-	maybeSend(c)
-	return WindowStep(c, end, func(c congest.Context, in congest.Inbound) {
-		if in.Msg.Kind != KindConv || !isChild(children, in.Port) {
-			failf("vertex %d: kind %d from port %d during convergecast", c.ID(), in.Msg.Kind, in.Port)
-		}
-		acc = combine(acc, [3]int64{in.Msg.A, in.Msg.B, in.Msg.C})
-		pend--
-		maybeSend(c)
-	}, func(c congest.Context) congest.Step {
-		if pend != 0 {
-			failf("vertex %d: convergecast missed %d children (window too small)", c.ID(), pend)
-		}
-		return then(c, acc, parent < 0)
-	})
-}
-
-// Converge runs one fragment-internal convergecast inside [now, end):
-// every vertex of an active fragment contributes own; combine folds a
-// child's reported value into the accumulator. The fragment root
-// returns (combined, true); everyone else (partial, false).
-func Converge(ctx congest.Context, parent int, children []int, end int64, active bool,
-	own [3]int64, combine func(acc, child [3]int64) [3]int64) ([3]int64, bool) {
-	var res [3]int64
-	var isRoot bool
-	congest.RunSteps(ctx, ConvergeStep(ctx, parent, children, end, active, own, combine,
-		func(c congest.Context, acc [3]int64, root bool) congest.Step {
-			res, isRoot = acc, root
-			return congest.Done()
-		}))
-	return res, isRoot
-}
-
-// ArgminStep is the resumable form of Argmin; then receives the
-// blocking form's results (the winner pointer is written to *winner
-// before then runs).
-func ArgminStep(c congest.Context, parent int, children []int, end int64, active bool,
-	own [3]int64, winner *int,
-	then func(c congest.Context, best [3]int64, isRoot bool) congest.Step) congest.Step {
-	*winner = -1
-	if own != Sentinel {
-		*winner = -2
-	}
-	if !active {
-		return DrainStep(c, end, func(c congest.Context) congest.Step {
-			return then(c, Sentinel, false)
-		})
-	}
-	acc := own
-	pend := len(children)
-	sent := false
-	maybeSend := func(c congest.Context) {
-		if pend == 0 && parent >= 0 && !sent {
-			sent = true
-			c.Send(parent, congest.Message{Kind: KindConv, A: acc[0], B: acc[1], C: acc[2]})
-		}
-	}
-	maybeSend(c)
-	return WindowStep(c, end, func(c congest.Context, in congest.Inbound) {
-		if in.Msg.Kind != KindConv || !isChild(children, in.Port) {
-			failf("vertex %d: kind %d from port %d during argmin", c.ID(), in.Msg.Kind, in.Port)
-		}
-		got := [3]int64{in.Msg.A, in.Msg.B, in.Msg.C}
-		if KeyLess(got, acc) {
-			acc = got
-			*winner = in.Port
-		}
-		pend--
-		maybeSend(c)
-	}, func(c congest.Context) congest.Step {
-		if pend != 0 {
-			failf("vertex %d: argmin missed %d children", c.ID(), pend)
-		}
-		return then(c, acc, parent < 0)
-	})
-}
-
-// Argmin is Converge specialised to lexicographic minimisation. It
-// records a winner pointer into *winner: -2 if this vertex's own key
-// won locally, -1 if no candidate reached here, or the child port whose
-// subtree supplied the local minimum. A vertex with no candidate passes
-// the Sentinel.
-func Argmin(ctx congest.Context, parent int, children []int, end int64, active bool,
-	own [3]int64, winner *int) ([3]int64, bool) {
-	var res [3]int64
-	var isRoot bool
-	congest.RunSteps(ctx, ArgminStep(ctx, parent, children, end, active, own, winner,
-		func(c congest.Context, best [3]int64, root bool) congest.Step {
-			res, isRoot = best, root
-			return congest.Done()
-		}))
-	return res, isRoot
-}
-
-// BroadcastStep is the resumable form of Broadcast; then receives the
-// blocking form's results.
-func BroadcastStep(c congest.Context, parent int, children []int, end int64, active bool,
-	own [3]int64, then func(c congest.Context, got [3]int64, received bool) congest.Step) congest.Step {
-	if active && parent < 0 {
-		for _, ch := range children {
-			c.Send(ch, congest.Message{Kind: KindBcast, A: own[0], B: own[1], C: own[2]})
-		}
-		return DrainStep(c, end, func(c congest.Context) congest.Step {
-			return then(c, own, true)
-		})
-	}
-	var got [3]int64
-	received := false
-	return WindowStep(c, end, func(c congest.Context, in congest.Inbound) {
-		if in.Msg.Kind != KindBcast || in.Port != parent || received {
-			failf("vertex %d: kind %d from port %d during broadcast", c.ID(), in.Msg.Kind, in.Port)
-		}
-		received = true
-		got = [3]int64{in.Msg.A, in.Msg.B, in.Msg.C}
-		for _, ch := range children {
-			c.Send(ch, congest.Message{Kind: KindBcast, A: got[0], B: got[1], C: got[2]})
-		}
-	}, func(c congest.Context) congest.Step {
-		if active && !received {
-			failf("vertex %d: broadcast never arrived", c.ID())
-		}
-		return then(c, got, received)
-	})
-}
-
-// Broadcast distributes a 3-word payload from the fragment root inside
-// [now, end), returning the payload and whether one was received (true
-// everywhere in active fragments).
-func Broadcast(ctx congest.Context, parent int, children []int, end int64, active bool,
-	own [3]int64) ([3]int64, bool) {
-	var res [3]int64
-	var received bool
-	congest.RunSteps(ctx, BroadcastStep(ctx, parent, children, end, active, own,
-		func(c congest.Context, got [3]int64, rec bool) congest.Step {
-			res, received = got, rec
-			return congest.Done()
-		}))
-	return res, received
-}
-
-// WinnerDowncastStep is the resumable form of WinnerDowncast; then
-// receives the blocking form's results.
-func WinnerDowncastStep(c congest.Context, parent int, end int64, initiate bool,
-	winner func() int, payload [3]int64,
-	then func(c congest.Context, got [3]int64, target bool) congest.Step) congest.Step {
-	target := false
-	var got [3]int64
-	if initiate {
-		switch w := winner(); {
-		case w == -2:
-			target, got = true, payload
-		case w >= 0:
-			c.Send(w, congest.Message{Kind: KindWinner, A: payload[0], B: payload[1], C: payload[2]})
-		default:
-			failf("vertex %d: downcast initiated with no winner", c.ID())
-		}
-	}
-	return WindowStep(c, end, func(c congest.Context, in congest.Inbound) {
-		if in.Msg.Kind != KindWinner || in.Port != parent {
-			failf("vertex %d: kind %d from port %d during winner downcast", c.ID(), in.Msg.Kind, in.Port)
-		}
-		switch w := winner(); {
-		case w == -2:
-			target, got = true, [3]int64{in.Msg.A, in.Msg.B, in.Msg.C}
-		case w >= 0:
-			c.Send(w, in.Msg)
-		default:
-			failf("vertex %d: winner downcast hit a dead end", c.ID())
-		}
-	}, func(c congest.Context) congest.Step {
-		return then(c, got, target)
-	})
-}
-
-// WinnerDowncast follows argmin winner pointers from the fragment root
-// to the winning vertex inside [now, end). initiate must hold only at
-// roots of fragments that start a downcast; winner must read this
-// vertex's recorded pointer. It reports whether this vertex is the
-// target.
-func WinnerDowncast(ctx congest.Context, parent int, end int64, initiate bool,
-	winner func() int, payload [3]int64) ([3]int64, bool) {
-	var res [3]int64
-	var target bool
-	congest.RunSteps(ctx, WinnerDowncastStep(ctx, parent, end, initiate, winner, payload,
-		func(c congest.Context, got [3]int64, tgt bool) congest.Step {
-			res, target = got, tgt
-			return congest.Done()
-		}))
-	return res, target
-}
-
-// UpPathStep is the resumable form of UpPath; then receives the
-// blocking form's results.
-func UpPathStep(c congest.Context, parent int, children []int, end int64, origin bool,
-	payload [3]int64,
-	then func(c congest.Context, got [3]int64, received bool) congest.Step) congest.Step {
-	received := false
-	var got [3]int64
-	deliver := func(c congest.Context, m [3]int64) {
-		if parent < 0 {
-			if received {
-				failf("vertex %d: two UpPath payloads in one fragment", c.ID())
-			}
-			received, got = true, m
-			return
-		}
-		c.Send(parent, congest.Message{Kind: KindUpPath, A: m[0], B: m[1], C: m[2]})
-	}
-	if origin {
-		deliver(c, payload)
-	}
-	return WindowStep(c, end, func(c congest.Context, in congest.Inbound) {
-		if in.Msg.Kind != KindUpPath || !isChild(children, in.Port) {
-			failf("vertex %d: kind %d from port %d during UpPath", c.ID(), in.Msg.Kind, in.Port)
-		}
-		deliver(c, [3]int64{in.Msg.A, in.Msg.B, in.Msg.C})
-	}, func(c congest.Context) congest.Step {
-		return then(c, got, received)
-	})
-}
-
-// UpPath sends a 3-word payload from one origin vertex up the fragment
-// tree to the root inside [now, end). The root returns (payload, true)
-// if an origin existed in its fragment.
-func UpPath(ctx congest.Context, parent int, children []int, end int64, origin bool,
-	payload [3]int64) ([3]int64, bool) {
-	var res [3]int64
-	var received bool
-	congest.RunSteps(ctx, UpPathStep(ctx, parent, children, end, origin, payload,
-		func(c congest.Context, got [3]int64, rec bool) congest.Step {
-			res, received = got, rec
-			return congest.Done()
-		}))
-	return res, received
 }
 
 func failf(format string, args ...any) {

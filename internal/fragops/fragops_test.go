@@ -7,10 +7,26 @@ import (
 	"congestmst/internal/graph"
 )
 
+// result returns a Then that stores its result and retires the
+// program, for driving one primitive to completion with RunSteps.
+func result(v *[3]int64, ok *bool) Then {
+	return func(c congest.Context, got [3]int64, flag bool) congest.Step {
+		*v, *ok = got, flag
+		return congest.Done()
+	}
+}
+
+// frameAt returns a Frame placed at the given tree position.
+func frameAt(parent int, children []int) *Frame {
+	f := new(Frame)
+	f.Init(parent, children)
+	return f
+}
+
 // starTree runs a program on a star graph where vertex 0 is the
 // fragment root and every leaf is its child; all vertices share one
 // fragment spanning the graph.
-func starTree(t *testing.T, n int, prog func(ctx *congest.Ctx, parent int, children []int)) *congest.Stats {
+func starTree(t *testing.T, n int, prog func(ctx *congest.Ctx, f *Frame)) *congest.Stats {
 	t.Helper()
 	g := graph.Star(n, graph.GenOptions{})
 	e := congest.NewEngine(g, congest.Config{})
@@ -20,10 +36,10 @@ func starTree(t *testing.T, n int, prog func(ctx *congest.Ctx, parent int, child
 			for i := range children {
 				children[i] = i
 			}
-			prog(ctx, -1, children)
+			prog(ctx, frameAt(-1, children))
 			return
 		}
-		prog(ctx, 0, nil)
+		prog(ctx, frameAt(0, nil))
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -33,7 +49,7 @@ func starTree(t *testing.T, n int, prog func(ctx *congest.Ctx, parent int, child
 
 // pathTree runs a program on a path where vertex 0 is the root and
 // each vertex's child is the next one.
-func pathTree(t *testing.T, n int, prog func(ctx *congest.Ctx, parent int, children []int)) {
+func pathTree(t *testing.T, n int, prog func(ctx *congest.Ctx, f *Frame)) {
 	t.Helper()
 	g := graph.Path(n, graph.GenOptions{})
 	e := congest.NewEngine(g, congest.Config{})
@@ -50,7 +66,7 @@ func pathTree(t *testing.T, n int, prog func(ctx *congest.Ctx, parent int, child
 			parent = 0          // port 0 leads to the smaller neighbor
 			children = []int{1} // port 1 leads to the larger neighbor
 		}
-		prog(ctx, parent, children)
+		prog(ctx, frameAt(parent, children))
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -59,12 +75,14 @@ func pathTree(t *testing.T, n int, prog func(ctx *congest.Ctx, parent int, child
 
 func TestConvergeSumsOverStar(t *testing.T) {
 	const n = 12
-	starTree(t, n, func(ctx *congest.Ctx, parent int, children []int) {
-		got, isRoot := Converge(ctx, parent, children, ctx.Round()+4, true,
+	starTree(t, n, func(ctx *congest.Ctx, f *Frame) {
+		var got [3]int64
+		var isRoot bool
+		congest.RunSteps(ctx, f.Converge(ctx, ctx.Round()+4, true,
 			[3]int64{int64(ctx.ID()), 1, 0},
 			func(acc, child [3]int64) [3]int64 {
 				return [3]int64{acc[0] + child[0], acc[1] + child[1], 0}
-			})
+			}, result(&got, &isRoot)))
 		if isRoot != (ctx.ID() == 0) {
 			t.Errorf("vertex %d isRoot=%v", ctx.ID(), isRoot)
 		}
@@ -78,8 +96,10 @@ func TestConvergeSumsOverStar(t *testing.T) {
 }
 
 func TestConvergeInactiveDrains(t *testing.T) {
-	starTree(t, 6, func(ctx *congest.Ctx, parent int, children []int) {
-		Converge(ctx, parent, children, ctx.Round()+3, false, [3]int64{}, nil)
+	starTree(t, 6, func(ctx *congest.Ctx, f *Frame) {
+		var got [3]int64
+		var isRoot bool
+		congest.RunSteps(ctx, f.Converge(ctx, ctx.Round()+3, false, [3]int64{}, nil, result(&got, &isRoot)))
 		if ctx.Round() == 0 {
 			t.Error("inactive Converge did not consume the window")
 		}
@@ -88,11 +108,13 @@ func TestConvergeInactiveDrains(t *testing.T) {
 
 func TestArgminFindsMinAndWinnerPath(t *testing.T) {
 	const n = 9
-	pathTree(t, n, func(ctx *congest.Ctx, parent int, children []int) {
+	pathTree(t, n, func(ctx *congest.Ctx, f *Frame) {
 		// Vertex i bids (100-i, i, 0); the tail vertex n-1 wins.
 		var winner int
+		var got [3]int64
+		var isRoot bool
 		own := [3]int64{int64(100 - ctx.ID()), int64(ctx.ID()), 0}
-		got, isRoot := Argmin(ctx, parent, children, ctx.Round()+int64(n+4), true, own, &winner)
+		congest.RunSteps(ctx, f.Argmin(ctx, ctx.Round()+int64(n+4), true, own, &winner, result(&got, &isRoot)))
 		if isRoot {
 			if got != [3]int64{int64(100 - (n - 1)), int64(n - 1), 0} {
 				t.Errorf("root argmin %v", got)
@@ -107,8 +129,9 @@ func TestArgminFindsMinAndWinnerPath(t *testing.T) {
 			t.Errorf("vertex %d winner = %d, want child port", ctx.ID(), winner)
 		}
 		// Downcast to the winner.
-		_, target := WinnerDowncast(ctx, parent, ctx.Round()+int64(n+4), isRoot,
-			func() int { return winner }, [3]int64{7, 0, 0})
+		var target bool
+		congest.RunSteps(ctx, f.WinnerDowncast(ctx, ctx.Round()+int64(n+4), isRoot,
+			&winner, [3]int64{7, 0, 0}, result(&got, &target)))
 		if target != (ctx.ID() == n-1) {
 			t.Errorf("vertex %d target=%v", ctx.ID(), target)
 		}
@@ -116,9 +139,11 @@ func TestArgminFindsMinAndWinnerPath(t *testing.T) {
 }
 
 func TestArgminAllSentinel(t *testing.T) {
-	starTree(t, 5, func(ctx *congest.Ctx, parent int, children []int) {
+	starTree(t, 5, func(ctx *congest.Ctx, f *Frame) {
 		var winner int
-		got, isRoot := Argmin(ctx, parent, children, ctx.Round()+4, true, Sentinel, &winner)
+		var got [3]int64
+		var isRoot bool
+		congest.RunSteps(ctx, f.Argmin(ctx, ctx.Round()+4, true, Sentinel, &winner, result(&got, &isRoot)))
 		if isRoot && got != Sentinel {
 			t.Errorf("root got %v, want sentinel", got)
 		}
@@ -130,8 +155,10 @@ func TestArgminAllSentinel(t *testing.T) {
 
 func TestBroadcastReachesAll(t *testing.T) {
 	const n = 9
-	pathTree(t, n, func(ctx *congest.Ctx, parent int, children []int) {
-		got, ok := Broadcast(ctx, parent, children, ctx.Round()+int64(n+4), true, [3]int64{42, 43, 44})
+	pathTree(t, n, func(ctx *congest.Ctx, f *Frame) {
+		var got [3]int64
+		var ok bool
+		congest.RunSteps(ctx, f.Broadcast(ctx, ctx.Round()+int64(n+4), true, [3]int64{42, 43, 44}, result(&got, &ok)))
 		if !ok {
 			t.Errorf("vertex %d did not receive the broadcast", ctx.ID())
 		}
@@ -143,9 +170,11 @@ func TestBroadcastReachesAll(t *testing.T) {
 
 func TestUpPathFromDeepVertex(t *testing.T) {
 	const n = 7
-	pathTree(t, n, func(ctx *congest.Ctx, parent int, children []int) {
+	pathTree(t, n, func(ctx *congest.Ctx, f *Frame) {
 		origin := ctx.ID() == n-1
-		got, received := UpPath(ctx, parent, children, ctx.Round()+int64(n+4), origin, [3]int64{9, 8, 7})
+		var got [3]int64
+		var received bool
+		congest.RunSteps(ctx, f.UpPath(ctx, ctx.Round()+int64(n+4), origin, [3]int64{9, 8, 7}, result(&got, &received)))
 		if ctx.ID() == 0 {
 			if !received || got != [3]int64{9, 8, 7} {
 				t.Errorf("root got %v received=%v", got, received)
@@ -175,9 +204,11 @@ func TestKeyLess(t *testing.T) {
 }
 
 func TestWindowDeadlineExact(t *testing.T) {
-	starTree(t, 3, func(ctx *congest.Ctx, parent int, children []int) {
+	starTree(t, 3, func(ctx *congest.Ctx, f *Frame) {
 		start := ctx.Round()
-		Drain(ctx, start+5)
+		var got [3]int64
+		var ok bool
+		congest.RunSteps(ctx, f.Drain(start+5, result(&got, &ok)))
 		if ctx.Round() != start+5 {
 			t.Errorf("vertex %d at round %d after Drain, want %d", ctx.ID(), ctx.Round(), start+5)
 		}

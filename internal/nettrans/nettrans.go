@@ -41,7 +41,6 @@
 package nettrans
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
@@ -302,7 +301,7 @@ type shard struct {
 	// ready lists local vertices due at round+1 (fresh deliveries or an
 	// explicit Step); timers orders the more distant RecvUntil deadlines.
 	ready  []int
-	timers timerHeap
+	timers congest.Calendar
 
 	round int64
 	live  int // local programs still running
@@ -704,14 +703,14 @@ func (s *shard) loop() {
 func (s *shard) wakeSet() []int {
 	due := s.ready
 	s.ready = nil
-	for s.timers.Len() > 0 && s.timers.items[0].round <= s.round {
-		entry := heap.Pop(&s.timers).(timerEntry)
-		nd := &s.nodes[entry.id-s.lo]
-		if nd.done || !nd.parked || nd.queued || nd.gen != entry.gen {
+	for s.timers.Len() > 0 && s.timers.Min().Round <= s.round {
+		entry := s.timers.Pop()
+		nd := &s.nodes[entry.ID-s.lo]
+		if nd.done || !nd.parked || nd.queued || nd.gen != entry.Gen {
 			continue
 		}
 		nd.queued = true // guards against double release
-		due = append(due, entry.id)
+		due = append(due, entry.ID)
 	}
 	sort.Ints(due)
 	return due
@@ -759,7 +758,7 @@ func (s *shard) exec(wakes []int) {
 			nd.queued = true
 			s.ready = append(s.ready, v)
 		case y.target < congest.Forever:
-			heap.Push(&s.timers, timerEntry{round: y.target, id: v, gen: nd.gen})
+			s.timers.Push(congest.TimerEntry{Round: y.target, ID: v, Gen: nd.gen})
 		}
 	}
 }
@@ -809,14 +808,14 @@ func (s *shard) proposal() int64 {
 		}
 	}
 	for s.timers.Len() > 0 {
-		top := s.timers.items[0]
-		nd := &s.nodes[top.id-s.lo]
-		if nd.done || !nd.parked || nd.queued || nd.gen != top.gen {
-			heap.Pop(&s.timers) // stale
+		top := s.timers.Min()
+		nd := &s.nodes[top.ID-s.lo]
+		if nd.done || !nd.parked || nd.queued || nd.gen != top.Gen {
+			s.timers.Pop() // stale
 			continue
 		}
-		if top.round < next {
-			next = top.round
+		if top.Round < next {
+			next = top.Round
 		}
 		break
 	}
@@ -1040,26 +1039,4 @@ func (nd *Node) yield(target int64) []congest.Inbound {
 	}
 	nd.round = w.round
 	return w.msgs
-}
-
-type timerEntry struct {
-	round int64
-	id    int
-	gen   int64
-}
-
-type timerHeap struct {
-	items []timerEntry
-}
-
-func (h *timerHeap) Len() int           { return len(h.items) }
-func (h *timerHeap) Less(i, j int) bool { return h.items[i].round < h.items[j].round }
-func (h *timerHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *timerHeap) Push(x any)         { h.items = append(h.items, x.(timerEntry)) }
-func (h *timerHeap) Pop() any {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
-	return it
 }
